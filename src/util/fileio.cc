@@ -58,19 +58,20 @@ void do_backoff(int ms) {
 // the kernel flushes the directory can lose BOTH the old and new file:
 // rename is atomic in the namespace, not durable on disk.
 void fsync_parent_dir(const std::string& path) {
-  std::string dir = std::filesystem::path(path).parent_path().string();
+  std::filesystem::path dir = std::filesystem::path(path).parent_path();
   if (dir.empty()) dir = ".";
   int dfd = -1;
   do {
     dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
   } while (dfd < 0 && errno == EINTR);
-  QNN_CHECK_MSG(dfd >= 0, "cannot open directory " << dir << " for fsync");
+  QNN_CHECK_MSG(dfd >= 0,
+                "cannot open directory " << dir.string() << " for fsync");
   int rc;
   do {
     rc = ::fsync(dfd);
   } while (rc != 0 && errno == EINTR);
   ::close(dfd);
-  QNN_CHECK_MSG(rc == 0, "fsync of directory " << dir << " failed");
+  QNN_CHECK_MSG(rc == 0, "fsync of directory " << dir.string() << " failed");
 }
 
 // One complete temp-write + fsync + rename pass. Returns an empty string

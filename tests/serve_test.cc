@@ -9,12 +9,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "nn/activation.h"
 #include "nn/inner_product.h"
 #include "nn/network.h"
+#include "nn/zoo.h"
 #include "serve/batcher.h"
 #include "serve/controller.h"
 #include "serve/queue.h"
@@ -359,6 +362,47 @@ TEST(ReplicaPool, ForwardMatchesDirectQuantizedNetwork) {
         EXPECT_EQ(got[i], want[i])
             << "tier " << t << " replica " << r << " elem " << i;
       }
+    }
+  }
+}
+
+// The completion audit CRCs every frozen parameter byte: one flipped bit
+// at the start, middle or end of the largest tensor (LeNet-0.5's ip1
+// weights, 400 KB, most of the image) moves the replica off its tier's
+// golden CRC, and a rescrub brings it back.
+TEST(ReplicaPool, AuditCatchesSingleBitFlipsAcrossLargestTensor) {
+  nn::ZooConfig zc;
+  zc.channel_scale = 0.5;
+  auto net = nn::make_lenet(zc);
+  std::vector<TierSpec> tiers = default_tier_lattice();
+  derive_tier_costs(*net, nn::input_shape_for("lenet"), &tiers);
+  Tensor calib(Shape{8, 1, 28, 28});
+  Rng rng(5);
+  calib.fill_uniform(rng, 0, 1);
+  ReplicaPool pool(*net, calib, tiers);
+
+  for (int t = 0; t < pool.num_tiers(); ++t) {
+    nn::Param* largest = nullptr;
+    for (nn::Param* p : pool.replica(t, 0).trainable_params()) {
+      if (!largest || p->value.count() > largest->value.count()) largest = p;
+    }
+    ASSERT_NE(largest, nullptr);
+    const std::int64_t n = largest->value.count();
+    ASSERT_GE(n, 100000) << "expected the ip1 weights";
+    ASSERT_EQ(pool.param_crc(t, 0), pool.golden_param_crc(t));
+    const std::pair<std::int64_t, int> flips[] = {
+        {0, 0}, {n / 2, 15}, {n - 1, 31}};
+    for (const auto& [index, bit] : flips) {
+      float& w = largest->value.data()[index];
+      std::uint32_t bits;
+      std::memcpy(&bits, &w, sizeof bits);
+      bits ^= 1u << bit;
+      std::memcpy(&w, &bits, sizeof bits);
+      EXPECT_NE(pool.param_crc(t, 0), pool.golden_param_crc(t))
+          << "tier " << t << " float " << index << " bit " << bit;
+      EXPECT_TRUE(pool.rescrub_replica(t, 0))
+          << "tier " << t << " float " << index << " bit " << bit;
+      EXPECT_EQ(pool.param_crc(t, 0), pool.golden_param_crc(t));
     }
   }
 }

@@ -6,6 +6,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "util/check.h"
 #include "util/crc32.h"
@@ -264,6 +265,73 @@ TEST(Crc32, DetectsSingleBitChange) {
   const auto base = crc32(data);
   data[100] ^= 1;
   EXPECT_NE(crc32(data), base);
+}
+
+// Oracle: the definition of the reflected CRC-32, one bit at a time, no
+// tables. Same streaming contract as crc32.
+std::uint32_t bitwise_crc32(const void* data, std::size_t size,
+                            std::uint32_t seed = 0) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  std::uint32_t c = ~seed;
+  for (std::size_t i = 0; i < size; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return ~c;
+}
+
+// Deterministic bytes from a 32-bit LCG (top byte of each state), so the
+// zlib reference values below can be recomputed with Python:
+//   x = 1; for each byte: x = (x * 1103515245 + 12345) % 2**32; b = x >> 24
+std::vector<unsigned char> lcg_bytes(std::size_t n) {
+  std::vector<unsigned char> out(n);
+  std::uint32_t x = 1;
+  for (auto& b : out) {
+    x = x * 1103515245u + 12345u;
+    b = static_cast<unsigned char>(x >> 24);
+  }
+  return out;
+}
+
+// Every length 0..1100 at every start offset 0..15: unaligned loads, the
+// 64-byte fold threshold, 16-byte blocks after the fold and sub-16 tails.
+TEST(Crc32, MatchesBitwiseOracleAtEveryLengthAndOffset) {
+  const std::vector<unsigned char> buf = lcg_bytes(1100 + 16);
+  EXPECT_EQ(crc32(buf.data(), buf.size()), 0xA26A7F10u);  // zlib.crc32
+  for (std::size_t off = 0; off < 16; ++off) {
+    const unsigned char* p = buf.data() + off;
+    std::uint32_t want = 0;  // oracle over p[0, n), extended a byte a time
+    for (std::size_t n = 0; n <= 1100; ++n) {
+      if (n > 0) want = bitwise_crc32(p + n - 1, 1, want);
+      ASSERT_EQ(crc32(p, n), want) << "offset " << off << " length " << n;
+      ASSERT_EQ(detail::crc32_portable(p, n), want)
+          << "offset " << off << " length " << n;
+    }
+  }
+}
+
+TEST(Crc32, StreamingSeedEqualsOnePassAtEverySplit) {
+  const std::vector<unsigned char> buf = lcg_bytes(300);
+  const std::uint32_t whole = crc32(buf.data(), buf.size());
+  ASSERT_EQ(whole, bitwise_crc32(buf.data(), buf.size()));
+  for (std::size_t split = 0; split <= buf.size(); ++split) {
+    const std::uint32_t a = crc32(buf.data(), split);
+    EXPECT_EQ(crc32(buf.data() + split, buf.size() - split, a), whole)
+        << "split " << split;
+    const std::uint32_t pa = detail::crc32_portable(buf.data(), split);
+    EXPECT_EQ(detail::crc32_portable(buf.data() + split, buf.size() - split,
+                                     pa),
+              whole)
+        << "split " << split;
+  }
+}
+
+// A buffer the size of the frozen LeNet-0.5 parameter image the serving
+// audit checks at every completion, pinned to zlib's value.
+TEST(Crc32, LargeBufferMatchesZlib) {
+  const std::vector<unsigned char> buf = lcg_bytes(437131);
+  EXPECT_EQ(crc32(buf.data(), buf.size()), 0x7FAFA4C0u);  // zlib.crc32
+  EXPECT_EQ(detail::crc32_portable(buf.data(), buf.size()), 0x7FAFA4C0u);
 }
 
 TEST(FileIo, AtomicWriteRoundTrip) {
